@@ -14,6 +14,11 @@ this host could run — on a numpy-only host the table documents the
 fallback tier honestly, like F14's single-CPU rows), n = 10⁴ and 10⁶,
 and float32 vs float64 planes at the large size.  `µs/op` is the
 inverse-throughput view used by the DESIGN.md §5 scalar-cost table.
+
+`before rate/s` holds the bulk-update and wide-sampling rates of an
+earlier commit measured on the same host: run this file there with
+``--bench-json DIR``, then here with ``--bench-before DIR``.  Without
+that option the column is empty.
 """
 
 from __future__ import annotations
@@ -51,14 +56,24 @@ def datasets():
     return {n: np.asarray(uniform_points(n, seed=201)) for n in SIZES}
 
 
+#: Ops whose rows carry the earlier commit's rate (``--bench-before``).
+COMPARED = ("bulk-insert+delete", "sample-wide")
+
+
 @pytest.fixture(scope="module")
-def rec(experiment):
-    return experiment(
+def rec(experiment, before_rows):
+    recorder = experiment(
         "F20",
         "kernel backends (scalar ops x2000, bulk batch=10k, wide t=65536): "
         "rate by op, backend, dtype and n",
-        ["op", "backend", "dtype", "n", "rate/s", "us/op"],
+        ["op", "backend", "dtype", "n", "rate/s", "us/op", "before rate/s"],
     )
+    recorder.before = {
+        tuple(row[:4]): row[4]
+        for row in before_rows("F20")
+        if row[0] in COMPARED
+    }
+    return recorder
 
 
 def _dtypes_for(n):
@@ -69,13 +84,15 @@ def _dtypes_for(n):
 
 
 def _row(rec, op, backend_name, dtype, n, rate):
+    dtype_name = np.dtype(dtype).name
     rec.row(
         op,
         backend_name,
-        np.dtype(dtype).name,
+        dtype_name,
         n,
         round(rate),
         round(1e6 / rate, 3) if rate else float("inf"),
+        rec.before.get((op, backend_name, dtype_name, n)),
     )
 
 

@@ -14,6 +14,10 @@ Tiny-n, seconds-long sanity gate (not a benchmark): asserts that
 * ``sample_stratified`` on the sharded facade matches the naive
   per-stratum loop byte-for-byte and is at least as fast (the one-call
   scatter round must amortize, never regress to the loop),
+* one n = 10^6 bulk round (1k ``insert_bulk`` + ``delete_bulk``, one
+  wide ``sample_bulk`` at t = 4096), normalized by an in-process
+  calibration loop, stays above a recorded floor — the one gate that
+  compares against an earlier commit instead of another path,
 * the mixed-stream runner executes a coalesced read/write stream,
 * the sharded engine agrees with a flat structure and (on multi-core
   hosts) the ``processes`` backend beats ``serial`` on wide-range bulk
@@ -27,6 +31,8 @@ from __future__ import annotations
 import os
 import random
 import sys
+
+import numpy as np
 
 from repro import (
     BatchQueryRunner,
@@ -45,6 +51,11 @@ BATCH = 4_000
 #: The bulk path must be at least this much faster than the scalar loop;
 #: real ratios are 4-25x, the slack absorbs CI scheduler noise.
 MARGIN = 1.3
+#: Bulk rounds per calibration loop (see the cross-commit floor in
+#: ``main``).  Measured 1.8 when the floor was set (2-CPU Xeon host, NumPy
+#: backend) and 0.55 on the commit before the whole-batch chunk passes;
+#: the floor allows 2x slack under the measured value.
+BULK_ROUND_FLOOR = 0.9
 
 failures: list[str] = []
 
@@ -380,6 +391,40 @@ def main() -> int:
         "metrics-on serving within 5% of metrics-off",
         obs_ratio >= 0.95,
         f"best on/off ratio {obs_ratio:.3f}",
+    )
+
+    # -- cross-commit floor on the bulk paths ----------------------------------
+    # Every gate above compares two paths of one build, so a slowdown that
+    # hits both passes them.  This one compares against a recorded number:
+    # one bulk round at n = 10^6 (1k insert_bulk + delete_bulk, one wide
+    # sample_bulk at t = 4096), timed in units of an in-process calibration
+    # loop (a NumPy sort plus a pure-Python loop, the two kinds of work the
+    # round mixes) so host speed cancels out.
+    big_n = 1_000_000
+    big = DynamicIRS(np.asarray(uniform_points(big_n, seed=61)), seed=62)
+    round_batch = np.asarray(uniform_points(1_000, seed=63))
+    calib_data = np.asarray(uniform_points(200_000, seed=64))
+
+    def calibration() -> None:
+        np.sort(calib_data)
+        acc = 0
+        for i in range(200_000):
+            acc += i
+
+    def bulk_round() -> None:
+        big.insert_bulk(round_batch)
+        big.delete_bulk(round_batch)
+        big.sample_bulk(0.1, 0.9, 4_096)
+
+    bulk_round()  # warm the side stream and the prefix caches
+    rate = max(
+        time_callable(calibration, repeat=3) / time_callable(bulk_round, repeat=3)
+        for _ in range(3)
+    )
+    check(
+        f"bulk round >= {BULK_ROUND_FLOOR} per calibration unit (recorded floor)",
+        rate >= BULK_ROUND_FLOOR,
+        f"{rate:.2f} bulk rounds per calibration loop",
     )
 
     # -- kernel tier: compiled must never lose to vectorized -------------------

@@ -8,6 +8,8 @@ the paper-shape claims are judged on (EXPERIMENTS.md is written from these).
 
 from __future__ import annotations
 
+import json
+import os
 from collections import OrderedDict
 
 import pytest
@@ -45,6 +47,29 @@ def pytest_addoption(parser):
         help="write each experiment table to DIR/BENCH_<id>.json "
         "(the recorded perf trajectory)",
     )
+    parser.addoption(
+        "--bench-before",
+        default=None,
+        metavar="DIR",
+        help="read DIR/BENCH_<id>.json written by the same benchmark on an "
+        "earlier commit (same host); experiments that support it add a "
+        "'before' column from it",
+    )
+
+
+@pytest.fixture(scope="module")
+def before_rows(request):
+    """``before_rows("F20")``: the rows recorded under ``--bench-before``."""
+    json_dir = request.config.getoption("--bench-before")
+
+    def rows(exp_id: str) -> list:
+        path = os.path.join(json_dir, f"BENCH_{exp_id}.json") if json_dir else None
+        if not path or not os.path.exists(path):
+            return []
+        with open(path) as f:
+            return json.load(f)["rows"]
+
+    return rows
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

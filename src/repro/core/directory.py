@@ -16,20 +16,28 @@ arrays in this module.  The engine owns everything that is about the
 * lazily cached prefix sums over counts (and over weights) with bounded
   *pending per-chunk deltas*, so an update→query alternation costs
   ``O(|pending|)`` instead of an ``O(n/s)`` cumsum rebuild per transition;
+* the whole-batch chunk passes behind bulk updates and bulk reads:
+  :meth:`ChunkDirectory.gather` concatenates the planes of a set of
+  chunk rows into one flat array with row offsets, and
+  :meth:`ChunkDirectory.recut` writes a merged or filtered flat array
+  back into those rows with vectorized directory repair — so a batch
+  costs one attribute read or write per touched chunk, not a chain of
+  NumPy calls;
 * the structural repair pass: scalar split, borrow-or-merge for
-  under-full chunks, the multi-index split assembly behind bulk inserts,
-  and the full normalization sweep behind bulk deletes.
+  under-full chunks (one row, or a batch of rows after a bulk delete),
+  and the multi-index split assembly behind bulk inserts.
 
 Chunk payloads are **NumPy array planes** (PR 10): ``data`` is a 1-D
 array in the structure's value dtype (float32 or float64), and a
 :class:`WeightedChunk` adds an aligned float64 ``weights`` plane with a
 lazy cumulative table.  Two rules make this safe and fast:
 
-* **copy-on-write** — no chunk op ever mutates a plane in place; splices
-  and merges go through the kernel tier (:mod:`repro.core.kernels`) and
-  return fresh arrays.  Structural cuts produce *views*, so a structure
-  built over an adopted caller array (``from_sorted(..., copy=False)``)
-  stays zero-copy until an update actually touches a chunk;
+* **copy-on-write** — no chunk op ever mutates a plane in place; scalar
+  splices go through the kernel tier (:mod:`repro.core.kernels`) and bulk
+  passes through :meth:`ChunkDirectory.recut`, and both install fresh
+  arrays.  Structural cuts produce *views*, so a structure built over an
+  adopted caller array (``from_sorted(..., copy=False)``) stays zero-copy
+  until an update actually touches a chunk;
 * the directory's own arrays (``maxes``/``mins`` float64, ``counts``
   int64, ``wtotals`` float64) are dtype-invariant — float32 values
   widen exactly, so routing is identical under either plane dtype.
@@ -47,9 +55,10 @@ from itertools import accumulate
 
 import numpy as _np  # a hard dependency of the package (pyproject.toml)
 
+from ..errors import KeyNotFoundError
 from . import kernels as _kernels
 
-__all__ = ["Chunk", "WeightedChunk", "ChunkDirectory", "split_sizes"]
+__all__ = ["Chunk", "WeightedChunk", "ChunkDirectory", "distinct", "split_sizes"]
 
 #: Scalar count/weight changes ride on the cached prefixes as per-chunk
 #: deltas up to this many entries; beyond it the cache is dropped and the
@@ -60,13 +69,31 @@ _PENDING_CAP = 64
 def split_sizes(n: int, cap: int) -> list[int]:
     """Balanced piece sizes cutting a run of ``n`` into pieces ≤ ``cap``.
 
-    Used by every split path (scalar, bulk, normalize): the run is cut
+    Used by every split path (scalar, bulk, under-full repair): the run is cut
     into ``ceil(n / cap)`` pieces whose sizes differ by at most one, so
     every piece lands within ``[s, 2s]`` whenever ``n > cap = 2s``.
     """
     k = -(-n // cap)
     base, extra = divmod(n, k)
     return [base + 1 if i < extra else base for i in range(k)]
+
+
+def distinct(rows):
+    """``(values, inverse)`` of an int array: its ascending distinct values
+    and each element's index among them (``values[inverse] == rows``).
+
+    The sort-based core of ``numpy.unique(rows, return_inverse=True)``
+    without its wrapper overhead, which dominates for the few-dozen-row
+    batches of small reads.
+    """
+    order = rows.argsort()
+    ordered = rows[order]
+    new = _np.empty(rows.size, dtype=bool)
+    new[:1] = True
+    _np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = _np.empty(rows.size, dtype=_np.intp)
+    inverse[order] = _np.cumsum(new) - 1
+    return ordered[new], inverse
 
 
 class Chunk:
@@ -87,10 +114,6 @@ class Chunk:
 
     def __init__(self, data) -> None:
         self.data = data
-
-    def array(self):
-        """Return the chunk's value plane (the bulk-sampling gather view)."""
-        return self.data
 
     def touch(self) -> None:
         """Invalidate derived per-chunk caches after a ``data`` swap."""
@@ -167,6 +190,13 @@ class WeightedChunk(Chunk):
     def np_arrays(self):
         """Return the ``(values, cum)`` planes for the bulk sampling path."""
         return self.data, self.cum_table()
+
+    @property
+    def cumulative(self):
+        """The cumulative table, as the plane ``"cumulative"`` for
+        :meth:`ChunkDirectory.gather` (built on first read, like
+        :meth:`cum_table`)."""
+        return self.cum_table()
 
     @property
     def mass(self) -> float:
@@ -532,38 +562,223 @@ class ChunkDirectory:
             self.wtotals = _np.insert(self.wtotals, idxs, [c.mass for _, c in inserts])
         self.invalidate_prefix()
 
-    def normalize(self, s: int, cap: int) -> None:
-        """Restore chunk-size invariants with one sweep over the list.
+    def repair_underfull_rows(self, rows, s: int, cap: int) -> None:
+        """Restore the size invariant around the under-full ``rows``.
 
-        Empty chunks are dropped; an under-full chunk is folded into its
-        successor (concatenation preserves sortedness); over-full results
-        are re-split.  Rebuilds the directory arrays once at the end.
+        The batch twin of :meth:`repair_underfull`, run once after a bulk
+        delete over the rows it touched.  Each run of consecutive rows
+        below ``s`` (emptied rows included) is widened by one neighbour —
+        the right one, else the left — and the window is re-cut into
+        balanced pieces within ``[s, 2s]``: one piece when it fits (a
+        merge), more when the neighbour had points to lend (a borrow).
+        Only those windows change; every other chunk keeps its plane, and
+        the directory is reassembled with one multi-index delete and
+        insert per column — no Python sweep over the whole chunk list.
         """
-        out: list = []
-        pending = None
-        for chunk in self.chunks:
-            if chunk.data.size == 0:
-                continue
-            if pending is not None:
-                pending.absorb(chunk)
-                chunk = pending
-                pending = None
-            if chunk.data.size < s:
-                pending = chunk
-                continue
-            out.append(chunk)
-            if chunk.data.size > cap:
-                out.extend(chunk.cut(split_sizes(chunk.data.size, cap)))
-        if pending is not None:
-            if out:
-                tail = out.pop()
-                tail.absorb(pending)
-                out.append(tail)
-                if tail.data.size > cap:
-                    out.extend(tail.cut(split_sizes(tail.data.size, cap)))
+        short = rows[self.counts[rows] < s]
+        if not short.size:
+            return
+        chunks = self.chunks
+        n_chunks = len(chunks)
+        breaks = _np.flatnonzero(_np.diff(short) > 1)
+        firsts = short[_np.concatenate(([0], breaks + 1))].tolist()
+        lasts = short[_np.concatenate((breaks, [short.size - 1]))].tolist()
+        windows: list[list[int]] = []
+        for a, b in zip(firsts, lasts):
+            if b + 1 < n_chunks:
+                b += 1
+            elif a > 0:
+                a -= 1
+            if windows and a <= windows[-1][1]:
+                windows[-1][1] = b  # the tail run borrowed its left window
             else:
-                out.append(pending)
-        self.load(out)
+                windows.append([a, b])
+        out: list = []
+        dropped: list[int] = []
+        at_rows: list[int] = []
+        pieces: list = []
+        at = 0
+        for a, b in windows:
+            window = chunks[a : b + 1]
+            first = window[0]
+            first.data = _np.concatenate([c.data for c in window])
+            if self.weighted:
+                first.weights = _np.concatenate([c.weights for c in window])
+            first.touch()
+            total = first.data.size
+            cut = [first] + first.cut(split_sizes(total, cap)) if total else []
+            out.extend(chunks[at:a])
+            out.extend(cut)
+            at = b + 1
+            at_rows.extend([a - len(dropped)] * len(cut))
+            dropped.extend(range(a, b + 1))
+            pieces.extend(cut)
+        out.extend(chunks[at:])
+        self.chunks = out
+
+        def splice(column, values, dtype=float):
+            return _np.insert(
+                _np.delete(column, dropped), at_rows, _np.asarray(values, dtype=dtype)
+            )
+
+        self.maxes = splice(self.maxes, [c.data[-1] for c in pieces])
+        self.mins = splice(self.mins, [c.data[0] for c in pieces])
+        self.counts = splice(self.counts, [c.data.size for c in pieces], _np.int64)
+        if self.weighted:
+            self.wtotals = splice(self.wtotals, [c.mass for c in pieces])
+        self.invalidate_prefix()
+
+    # -- whole-batch chunk passes ------------------------------------------
+
+    def gather(self, rows, *planes):
+        """Concatenate the planes of the ascending chunk ``rows``.
+
+        ``planes`` name chunk attributes (default ``"data"``).  Returns
+        ``(offsets, *flats)`` with one flat array per plane; row ``k``
+        occupies ``offsets[k]:offsets[k + 1]``.  Chunks are disjoint and in
+        key order, so a gathered value plane is sorted.  Per chunk this is
+        one attribute read; the concatenation is one C-level call.
+        """
+        chunks = self.chunks
+        picked = [chunks[r] for r in rows.tolist()]
+        offsets = _np.zeros(len(picked) + 1, dtype=_np.int64)
+        _np.cumsum(self.counts[rows], out=offsets[1:])
+        return (offsets,) + tuple(
+            _np.concatenate([getattr(c, name) for c in picked])
+            for name in planes or ("data",)
+        )
+
+    def recut(self, rows, offsets, data, weights=None, dmass=None) -> None:
+        """Write flat planes back into the ascending chunk ``rows``.
+
+        Row ``k`` receives a fresh copy of ``data[offsets[k]:offsets[k + 1]]``
+        (and of the same ``weights`` span) — never a view, which would pin
+        the whole batch buffer behind every chunk.  ``counts``, ``maxes``
+        and ``mins`` are repaired with vectorized assignments (an emptied
+        row keeps its old extents until :meth:`repair_underfull_rows`
+        drops it) and ``dmass`` is added to ``wtotals[rows]``.  Over- and
+        under-full rows are left for the caller to repair.
+        """
+        chunks = self.chunks
+        bounds = offsets.tolist()
+        for r, a, b in zip(rows.tolist(), bounds, bounds[1:]):
+            chunk = chunks[r]
+            chunk.data = data[a:b].copy()
+            if weights is not None:
+                chunk.weights = weights[a:b].copy()
+                chunk.touch()
+        starts, ends = offsets[:-1], offsets[1:]
+        self.counts[rows] = ends - starts
+        if dmass is not None:
+            self.wtotals[rows] += dmass
+        live = ends > starts
+        if not live.all():
+            rows, starts, ends = rows[live], starts[live], ends[live]
+        self.maxes[rows] = data[ends - 1]
+        self.mins[rows] = data[starts]
+        self.invalidate_prefix()
+
+    def merge_batch(self, batch, cap: int, weights=None) -> None:
+        """Insert a sorted batch with one gather–merge–recut pass.
+
+        Each value is routed to the first chunk whose max is ≥ it (values
+        past the global max join the last chunk).  The routed rows are
+        gathered into one sorted array and the batch is merged into it
+        with one stable scatter — chunk points first on ties, each value
+        clamped to the end of its routed row, so every chunk receives
+        exactly the points a per-chunk merge would give it.  The result
+        is recut into the same rows (``wtotals`` gains one
+        ``add.reduceat`` segment sum per row) and over-full rows go to
+        :meth:`bulk_split`.  ``weights`` aligns with ``batch`` on
+        weighted directories.
+        """
+        pos = _np.searchsorted(self.maxes, batch, side="left")
+        _np.minimum(pos, len(self.chunks) - 1, out=pos)
+        rows, starts = _np.unique(pos, return_index=True)
+        sizes = _np.diff(_np.append(starts, batch.size))
+        names = ("data", "weights") if weights is not None else ("data",)
+        offsets, flat, *wflat = self.gather(rows, *names)
+        row_end = _np.repeat(offsets[1:], sizes)
+        slots = _np.minimum(_np.searchsorted(flat, batch, side="right"), row_end)
+        slots += _np.arange(batch.size)
+        keep = _np.ones(flat.size + batch.size, dtype=bool)
+        keep[slots] = False
+
+        def merged(plane, extra):
+            out = _np.empty(keep.size, dtype=plane.dtype)
+            out[slots] = extra
+            out[keep] = plane
+            return out
+
+        offsets[1:] += _np.cumsum(sizes)
+        if weights is None:
+            self.recut(rows, offsets, merged(flat, batch))
+        else:
+            self.recut(
+                rows,
+                offsets,
+                merged(flat, batch),
+                merged(wflat[0], weights),
+                _np.add.reduceat(weights, starts),
+            )
+        over = rows[self.counts[rows] > cap]
+        if over.size:
+            self.bulk_split(over.tolist(), cap)
+
+    def remove_batch(self, batch, s: int, cap: int):
+        """Remove one occurrence per value of a sorted batch, atomically.
+
+        Every copy of a value ``v`` lies in the rows from the first chunk
+        whose max is ≥ ``v`` to the last whose min is ≤ ``v`` (duplicates
+        may spill past a chunk's max), so gathering those rows puts all of
+        them in one sorted array, where the ``k``-th copy of ``v`` in the
+        batch takes the ``k``-th leftmost occurrence.  The verify is one
+        vectorized comparison: an absent value raises
+        :class:`~repro.errors.KeyNotFoundError` before anything mutates.
+        The survivors are recut into their rows and under-full rows are
+        repaired locally (:meth:`repair_underfull_rows`).
+
+        Returns the removed weights aligned with ``batch`` on weighted
+        directories (``None`` otherwise); each row's removed mass is
+        summed strictly left to right, as a scalar loop would.
+        """
+        lo = _np.searchsorted(self.maxes, batch, side="left")
+        hi = _np.searchsorted(self.mins, batch, side="right") - 1
+        absent = hi < lo
+        if absent.any():
+            missing = float(batch[absent.argmax()])
+            raise KeyNotFoundError(f"value not present: {missing!r}")
+        span = hi - lo + 1
+        first = _np.cumsum(span) - span
+        rows = _np.unique(_np.repeat(lo - first, span) + _np.arange(int(span.sum())))
+        names = ("data", "weights") if self.weighted else ("data",)
+        offsets, flat, *wflat = self.gather(rows, *names)
+        pos = _np.searchsorted(flat, batch, side="left")
+        pos += _np.arange(batch.size) - _np.searchsorted(batch, batch, side="left")
+        found = pos < flat.size
+        found[found] = flat[pos[found]] == batch[found]
+        if not found.all():
+            missing = float(batch[(~found).argmax()])
+            raise KeyNotFoundError(f"value not present: {missing!r}")
+        keep = _np.ones(flat.size, dtype=bool)
+        keep[pos] = False
+        hits = _np.bincount(
+            _np.searchsorted(offsets, pos, side="right") - 1, minlength=rows.size
+        )
+        offsets[1:] -= _np.cumsum(hits)
+        removed = None
+        if not self.weighted:
+            self.recut(rows, offsets, flat[keep])
+        else:
+            removed = wflat[0][pos]
+            mass = _np.zeros(rows.size)
+            first = _np.cumsum(hits) - hits
+            for k in range(int(hits.max())):  # the k-th hit of every row
+                more = hits > k
+                mass[more] += removed[first[more] + k]
+            self.recut(rows, offsets, flat[keep], wflat[0][keep], -mass)
+        self.repair_underfull_rows(rows, s, cap)
+        return removed
 
     # -- validation (used by the samplers' check_invariants) ---------------
 

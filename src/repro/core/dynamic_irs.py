@@ -28,13 +28,15 @@ parallel arrays (``maxes``, ``mins``, ``counts``) describe them —
   falls out of the directory for free, with no gaps to reject.
 
 Every hot loop dispatches through the kernel tier
-(:mod:`repro.core.kernels`, DESIGN.md §13): scalar splices, bulk
-merge/take-out passes, the middle-rejection accept/reject scan and the
-rank-resolution searches each run as one compiled call under the numba
-backend, with the vectorized NumPy twins as the always-available
-fallback.  All randomness (Philox counter streams, the scalar stream's
-draw order) and all accounting stay in this driver, so the two backends
-consume identical draws and produce byte-identical results.
+(:mod:`repro.core.kernels`, DESIGN.md §13): scalar splices, the
+middle-rejection accept/reject scan and the rank-resolution searches each
+run as one compiled call under the numba backend, with the vectorized
+NumPy twins as the always-available fallback.  Bulk updates and bulk
+reads run as whole-batch passes over the directory (one gather of the
+touched chunks, one vectorized merge, filter or fancy index, one recut).
+All randomness (Philox counter streams, the scalar stream's draw order)
+and all accounting stay in this driver, so the two backends consume
+identical draws and produce byte-identical results.
 
 Storage planes are dtype-generic (PR 10): ``dtype=float32`` at
 construction halves resident bytes, with every value coerced through the
@@ -62,7 +64,7 @@ from ..rng import generator as _generator
 from ..types import QueryStats
 from .base import DynamicRangeSampler, coerce_query_bounds, validate_query
 from .directory import Chunk as _Chunk
-from .directory import ChunkDirectory
+from .directory import ChunkDirectory, distinct
 from .kernels import get as _kernels
 from .planes import as_plane, resolve_dtype
 
@@ -347,15 +349,17 @@ class DynamicIRS(DynamicRangeSampler):
     # -- bulk updates -----------------------------------------------------------------
 
     def insert_bulk(self, values: Iterable[float]) -> None:
-        """Insert a whole batch with one deferred directory repair.
+        """Insert a whole batch with one gather–merge–recut pass.
 
-        The batch is sorted once, routed to its target chunks with a
-        single vectorized ``searchsorted``, and each touched chunk absorbs
-        its segment with one kernel merge (stable, chunk-first on ties).
-        Directory counts and key extents are then repaired with three
-        vectorized array ops and over-full chunks are re-split in one
-        assembly pass — ``O(b log b + touched·s)`` for a batch of ``b``
-        instead of ``b`` separate ``O(log n)`` update paths.  The
+        The batch is sorted once and handed to
+        :meth:`ChunkDirectory.merge_batch
+        <repro.core.directory.ChunkDirectory.merge_batch>`: one vectorized
+        ``searchsorted`` routes it, the touched chunks are gathered into
+        one array, the batch is merged in with one stable scatter (chunk
+        points first on ties) and the result is recut into the same
+        chunks with vectorized directory repair; over-full chunks are
+        re-split in one assembly pass — ``O(b log b + touched·s)`` for a
+        batch of ``b`` with no per-chunk chain of NumPy calls.  The
         global-rebuild check is hoisted: a batch that would push ``n``
         past ``2·n0`` rebuilds wholesale *before* routing (the only way an
         insert batch can trip it), so no trailing ``_maybe_rebuild`` is
@@ -382,139 +386,32 @@ class DynamicIRS(DynamicRangeSampler):
             merged = _np.sort(_np.concatenate((self.export_sorted(), batch)))
             self._build(merged)
             return
-        directory = self._dir
-        chunks = directory.chunks
-        last = len(chunks) - 1
-        pos = _np.searchsorted(directory.maxes, batch, side="left")
-        if int(pos[-1]) > last:  # values beyond the global max join the tail
-            pos = _np.minimum(pos, last)
-        uniq, starts = _np.unique(pos, return_index=True)
-        ends = _np.append(starts[1:], m)
-        # Directory repair for counts and key extents is fully vectorized.
-        directory.counts[uniq] += ends - starts
-        directory.maxes[uniq] = _np.maximum(directory.maxes[uniq], batch[ends - 1])
-        directory.mins[uniq] = _np.minimum(directory.mins[uniq], batch[starts])
-        kernel = _kernels()
-        cap = self._cap
-        oversized: list[int] = []
-        for p, g0, g1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-            chunk = chunks[p]
-            chunk.data = kernel.merge_runs(chunk.data, batch[g0:g1])
-            chunk.touch()
-            if chunk.data.size > cap:
-                oversized.append(p)
+        self._dir.merge_batch(batch, self._cap)
         self._n += m
-        directory.invalidate_prefix()
-        if oversized:
-            directory.bulk_split(oversized, cap)
 
     def delete_bulk(self, values: Iterable[float]) -> None:
-        """Delete one occurrence per batch value with one deferred repair.
+        """Delete one occurrence per batch value with one gather–filter–recut pass.
 
         Atomic: if any value is absent the structure is left untouched and
         :class:`~repro.errors.KeyNotFoundError` is raised.  The batch is
-        sorted once, routed with one vectorized ``searchsorted``, each
-        touched chunk gives up its whole segment in one kernel take-out
-        pass; empty and under-full chunks are then repaired in a single
-        normalization sweep followed by one ``_maybe_rebuild`` check.
+        sorted once and handed to :meth:`ChunkDirectory.remove_batch
+        <repro.core.directory.ChunkDirectory.remove_batch>`, which gathers
+        every chunk that can hold a batch value, verifies all of them with
+        one vectorized comparison (the ``k``-th copy of a value takes its
+        ``k``-th leftmost occurrence), recuts the survivors and repairs
+        only the under-full chunks it touched; one ``_maybe_rebuild``
+        check follows.
         """
-        values = [self._coerce(v) for v in values]
-        m = len(values)
-        if m == 0:
+        if not isinstance(values, _np.ndarray):
+            values = list(values)
+        if len(values) <= 1:
+            # One value: the scalar path is just as atomic, and cheaper.
+            for value in values:
+                self.delete(value)
             return
-        directory = self._dir
-        chunks = directory.chunks
-        n_chunks = len(chunks)
-        kernel = _kernels()
-        if m <= _BULK_CUTOFF:
-            # Small batch: skip the vectorized prelude but keep the shared
-            # verify/apply path (and with it the atomicity guarantee).
-            bulk_list = sorted(values)
-            groups: list[tuple[int, int, int]] = []
-            for g, value in enumerate(bulk_list):
-                p = directory.first_max_ge(value)
-                if p >= n_chunks:
-                    raise KeyNotFoundError(f"value not present: {value!r}")
-                if groups and groups[-1][0] == p:
-                    groups[-1] = (p, groups[-1][1], g + 1)
-                else:
-                    groups.append((p, g, g + 1))
-        else:
-            batch = _np.sort(_np.asarray(values, dtype=self._dtype))
-            pos = (
-                _np.searchsorted(directory.maxes, batch, side="left")
-                if n_chunks
-                else None
-            )
-            if n_chunks == 0 or int(pos[-1]) >= n_chunks:
-                missing = batch[-1] if n_chunks == 0 else float(batch[pos >= n_chunks][0])
-                raise KeyNotFoundError(f"value not present: {float(missing)!r}")
-            uniq, starts = _np.unique(pos, return_index=True)
-            ends = _np.append(starts[1:], m)
-            bulk_list = batch.tolist()
-            groups = list(zip(uniq.tolist(), starts.tolist(), ends.tolist()))
-        # Verify phase: resolve every target to its (chunk, offset) without
-        # mutating anything, so a missing value aborts atomically.  Only
-        # C-level searches and integer appends — no plane copies.
-        plan: dict[int, list[int]] = {}
-        mins = directory.mins
-        for p, g0, g1 in groups:
-            j = p
-            data = chunks[p].data
-            size = data.size
-            hits = plan.get(p)
-            if hits is None:
-                hits = plan[p] = []
-                at = 0  # search floor inside chunk j
-            else:
-                at = hits[-1] + 1
-            for g in range(g0, g1):
-                value = bulk_list[g]
-                while True:
-                    i = int(kernel.search_left_scalar(data, value))
-                    if i < at:
-                        i = at
-                    if i < size and data[i] == value:
-                        hits.append(i)
-                        at = i + 1
-                        break
-                    # Spill into the next chunk: possible only when the
-                    # value ties this chunk's max and duplicates continue.
-                    j += 1
-                    if j >= n_chunks or mins[j] > value:
-                        raise KeyNotFoundError(f"value not present: {value!r}")
-                    data = chunks[j].data
-                    size = data.size
-                    hits = plan.get(j)
-                    if hits is None:
-                        hits = plan[j] = []
-                        at = 0
-                    else:
-                        at = hits[-1] + 1
-        # Apply phase: splice out the recorded offsets (ascending per
-        # chunk) with one kernel take-out per touched chunk.
-        violation = False
-        s = self._s
-        for p, hits in plan.items():
-            chunk = chunks[p]
-            chunk.data = kernel.take_out(
-                chunk.data, _np.asarray(hits, dtype=_np.int64)
-            )
-            chunk.touch()
-            if chunk.data.size < s:
-                violation = True
-        self._n -= m
-        directory.invalidate_prefix()
-        if violation:
-            directory.normalize(s, self._cap)
-        else:
-            # All touched chunks stayed within bounds: repair their
-            # directory rows with three vectorized assignments.
-            changed = list(plan)
-            idx = _np.asarray(changed, dtype=_np.int64)
-            directory.counts[idx] = [chunks[p].data.size for p in changed]
-            directory.maxes[idx] = [chunks[p].data[-1] for p in changed]
-            directory.mins[idx] = [chunks[p].data[0] for p in changed]
+        batch = _np.sort(_np.asarray(values, dtype=self._dtype))
+        self._dir.remove_batch(batch, self._s, self._cap)
+        self._n -= int(batch.size)
         self._maybe_rebuild()
 
     # -- queries ------------------------------------------------------------------------
@@ -735,58 +632,44 @@ class DynamicIRS(DynamicRangeSampler):
         stats: QueryStats,
     ):
         """Resolve middle-run ranks (cumulative mode) or draw fresh middle
-        elements (rejection mode) for :meth:`sample_bulk`."""
+        elements (rejection mode) for :meth:`sample_bulk`.
+
+        Either way the hit chunks are gathered once
+        (:meth:`ChunkDirectory.gather
+        <repro.core.directory.ChunkDirectory.gather>`) and every sample is
+        one fancy index into the gathered array — no per-chunk loop."""
         plan = self._middle_plan(mid_lo, mid_hi, count)
         kernel = _kernels()
-        out = _np.empty(count, dtype=float)
+        directory = self._dir
         if plan.mode == "cumulative":
             cum = plan.cum
             idx = kernel.search_right(cum, mid_ranks)
             starts = _np.concatenate(([0], cum[:-1]))
-            offsets = mid_ranks - starts[idx]
-            # Group samples by chunk via one sort, then assign contiguous
-            # slices — a boolean mask per distinct chunk would be
-            # O(chunks × samples), quadratic for wide cumulative middles.
-            order = _np.argsort(idx, kind="stable")
-            grouped_idx = idx[order]
-            grouped_off = offsets[order]
-            uniq, group_starts = _np.unique(grouped_idx, return_index=True)
-            group_ends = _np.append(group_starts[1:], count)
-            for chunk_i, g0, g1 in zip(uniq, group_starts, group_ends):
-                out[order[g0:g1]] = plan.chunks[chunk_i].data[grouped_off[g0:g1]]
-            return out
+            rows, inverse = distinct(idx)
+            offsets, flat = directory.gather(rows + mid_lo)
+            return flat[offsets[inverse] + (mid_ranks - starts[idx])]
         # rejection mode: the in-range rank of a middle sample is irrelevant
         # (each middle hit just needs a fresh uniform middle element), so
         # draw batches of chunk/slot codes and keep the accepted ones.  The
         # accept/reject scan is one kernel call per batch with the exact
         # sequential consumed/rejected accounting of the scalar loop.
+        out = _np.empty(count, dtype=float)
         window_lo = plan.window_lo
         cap = plan.cap
         span = (plan.window_hi - window_lo + 1) * cap
-        chunks = plan.chunks
-        counts = self._dir.counts
         filled = 0
         while filled < count:
             codes = gen.integers(0, span, size=2 * (count - filled) + 8)
             cells, slots, consumed = kernel.rejection_split(
-                codes, counts, window_lo, cap, count - filled
+                codes, directory.counts, window_lo, cap, count - filled
             )
             got = int(cells.size)
             stats.rejections += consumed - got
-            if not got:
-                continue
-            # Gather the accepted (chunk, slot) pairs grouped by chunk,
-            # scattering back into draw order.
-            order = _np.argsort(cells, kind="stable")
-            grouped_cells = cells[order]
-            grouped_slots = slots[order]
-            uniq, group_starts = _np.unique(grouped_cells, return_index=True)
-            group_ends = _np.append(group_starts[1:], got)
-            slot_base = filled + order
-            for cell, g0, g1 in zip(uniq, group_starts, group_ends):
-                data = chunks[window_lo + int(cell)].data
-                out[slot_base[g0:g1]] = data[grouped_slots[g0:g1]]
-            filled += got
+            if got:
+                rows, inverse = distinct(cells)
+                offsets, flat = directory.gather(rows + window_lo)
+                out[filled : filled + got] = flat[offsets[inverse] + slots]
+                filled += got
         return out
 
     def _middle_plan(self, mid_lo: int, mid_hi: int, t: int) -> _MiddlePlan:

@@ -1,8 +1,8 @@
 """Kernel tier: compiled (Numba) and vectorized (NumPy) hot-path backends.
 
-The chunk directory's hottest loops — scalar splice-and-repair, bulk
-merge/take-out splices, the middle-rejection and rank-resolution sampling
-passes, and the weighted two-level cumulative draw — are expressed as a
+The chunk directory's hottest per-call loops — scalar splice-and-repair,
+the middle-rejection and rank-resolution sampling passes, and the
+weighted two-level cumulative draw — are expressed as a
 small set of *pure array functions* with two interchangeable
 implementations:
 

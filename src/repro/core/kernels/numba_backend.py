@@ -90,81 +90,6 @@ def splice_delete(arr, pos):
     return out
 
 
-# -- bulk splice ops ---------------------------------------------------------
-
-
-@njit(cache=True)
-def merge_runs(chunk, batch):
-    # Stable two-pointer merge, chunk elements first on value ties
-    # (batch[j] advances only while strictly smaller).
-    n, m = chunk.size, batch.size
-    out = _np.empty(n + m, dtype=chunk.dtype)
-    i = j = k = 0
-    while i < n and j < m:
-        if batch[j] < chunk[i]:
-            out[k] = batch[j]
-            j += 1
-        else:
-            out[k] = chunk[i]
-            i += 1
-        k += 1
-    while i < n:
-        out[k] = chunk[i]
-        i += 1
-        k += 1
-    while j < m:
-        out[k] = batch[j]
-        j += 1
-        k += 1
-    return out
-
-
-@njit(cache=True)
-def merge_pair_runs(cdata, cweights, bdata, bweights):
-    n, m = cdata.size, bdata.size
-    data = _np.empty(n + m, dtype=cdata.dtype)
-    weights = _np.empty(n + m, dtype=cweights.dtype)
-    i = j = k = 0
-    while i < n and j < m:
-        if bdata[j] < cdata[i]:
-            data[k] = bdata[j]
-            weights[k] = bweights[j]
-            j += 1
-        else:
-            data[k] = cdata[i]
-            weights[k] = cweights[i]
-            i += 1
-        k += 1
-    while i < n:
-        data[k] = cdata[i]
-        weights[k] = cweights[i]
-        i += 1
-        k += 1
-    while j < m:
-        data[k] = bdata[j]
-        weights[k] = bweights[j]
-        j += 1
-        k += 1
-    return data, weights
-
-
-@njit(cache=True)
-def take_out(arr, hits):
-    out = _np.empty(arr.size - hits.size, dtype=arr.dtype)
-    at = 0
-    k = 0
-    for h in range(hits.size):
-        hit = hits[h]
-        for i in range(at, hit):
-            out[k] = arr[i]
-            k += 1
-        at = hit + 1
-    for i in range(at, arr.size):
-        out[k] = arr[i]
-        k += 1
-    return out
-
-
 # -- weight tables -----------------------------------------------------------
 
 

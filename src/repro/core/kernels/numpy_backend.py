@@ -9,11 +9,9 @@ byte-identity structural (see the package docstring).
 Conventions shared by both backends:
 
 * value planes are 1-D and sorted; weight/cumulative planes are float64;
-* splice and merge ops are **copy-on-write**: they return fresh arrays
-  and never mutate an input (chunk payloads may be views into an adopted
-  caller array — see :mod:`repro.core.planes`);
-* merges are *stable with chunk elements first* on value ties, matching
-  the historical Timsort-merge semantics of the list-based engine;
+* splice ops are **copy-on-write**: they return fresh arrays and never
+  mutate an input (chunk payloads may be views into an adopted caller
+  array — see :mod:`repro.core.planes`);
 * all searches are ``searchsorted`` semantics (``left``/``right``).
 """
 
@@ -60,43 +58,6 @@ def search_right_scalar(arr, value) -> int:
 def search_right(arr, targets):
     """Vectorized ``bisect_right``: one int64 index per target."""
     return _np.searchsorted(arr, targets, side="right").astype(_np.int64, copy=False)
-
-
-# -- bulk splice ops ---------------------------------------------------------
-
-
-def merge_runs(chunk, batch):
-    """Merge two sorted runs, chunk elements first on ties (fresh array)."""
-    idx = _np.searchsorted(chunk, batch, side="right")
-    out = _np.empty(chunk.size + batch.size, dtype=chunk.dtype)
-    slots = idx + _np.arange(batch.size)
-    keep = _np.ones(out.size, dtype=bool)
-    keep[slots] = False
-    out[slots] = batch
-    out[keep] = chunk
-    return out
-
-
-def merge_pair_runs(cdata, cweights, bdata, bweights):
-    """Two-plane :func:`merge_runs`: merge by value, weights riding along."""
-    idx = _np.searchsorted(cdata, bdata, side="right")
-    slots = idx + _np.arange(bdata.size)
-    keep = _np.ones(cdata.size + bdata.size, dtype=bool)
-    keep[slots] = False
-    data = _np.empty(keep.size, dtype=cdata.dtype)
-    data[slots] = bdata
-    data[keep] = cdata
-    weights = _np.empty(keep.size, dtype=cweights.dtype)
-    weights[slots] = bweights
-    weights[keep] = cweights
-    return data, weights
-
-
-def take_out(arr, hits):
-    """Return ``arr`` without the (ascending) ``hits`` indices (fresh)."""
-    keep = _np.ones(arr.size, dtype=bool)
-    keep[hits] = False
-    return arr[keep]
 
 
 # -- weight tables -----------------------------------------------------------

@@ -40,9 +40,11 @@ count prefix).  A query:
    chunk's own weight table.
 
 Hot loops dispatch through the kernel tier (:mod:`repro.core.kernels`,
-DESIGN.md §13): scalar splices, the two-plane bulk merge, bulk take-out,
-cumulative tables and every cumulative-search draw are single kernel
-calls, compiled under the numba backend with vectorized NumPy fallbacks.
+DESIGN.md §13): scalar splices, cumulative tables and every
+cumulative-search draw are single kernel calls, compiled under the numba
+backend with vectorized NumPy fallbacks.  Bulk updates are whole-batch
+gather–merge–recut passes over the shared directory, with the weight
+plane riding along.
 All randomness and all float *accounting* (``fsum`` run masses, the
 sequential removed-mass sums) stay in this driver so both backends are
 byte-identical.  Query bounds and stored values are coerced through the
@@ -68,7 +70,7 @@ from ..rng import RandomSource
 from ..rng import generator as _generator
 from ..types import QueryStats
 from .base import coerce_query_bounds, validate_query
-from .directory import ChunkDirectory
+from .directory import ChunkDirectory, distinct
 from .directory import WeightedChunk as _WChunk
 from .kernels import get as _kernels
 from .planes import as_plane, resolve_dtype
@@ -81,6 +83,23 @@ _BULK_CUTOFF = 16
 #: Middle-draw batches at least this large amortize (re)building the
 #: flattened global cumulative-weight array when it is stale.
 _FLAT_MIN = 2048
+
+
+def _search_right_rows(flat, lo, hi, targets):
+    """Vectorized ``bisect_right`` of each target inside its row ``flat[lo:hi]``.
+
+    A lock-step binary search over all targets at once: every row is
+    sorted, so ``bit_length(max row length)`` halving rounds settle each
+    target exactly where a per-row ``searchsorted(..., side="right")``
+    would.  Pure comparisons — bit-identical to the per-row search.
+    """
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (lo + hi) >> 1
+        right = flat[_np.minimum(mid, flat.size - 1)] <= targets
+        active = lo < hi
+        lo = _np.where(active & right, mid + 1, lo)
+        hi = _np.where(active & ~right, mid, hi)
+    return lo
 
 
 class WeightedDynamicIRS:
@@ -377,16 +396,15 @@ class WeightedDynamicIRS:
     def insert_bulk(
         self, values: Iterable[float], weights: Iterable[float] | None = None
     ) -> None:
-        """Insert a weighted batch with one deferred directory repair.
+        """Insert a weighted batch with one gather–merge–recut pass.
 
-        The batch is sorted once and routed to its target chunks with a
-        single vectorized ``searchsorted`` over the directory ``maxes``;
-        each touched chunk absorbs its whole segment with one two-plane
-        kernel merge (stable, chunk elements first on value ties), and
-        over-full chunks are re-split with the shared multi-index
-        directory assembly — the exact machinery of
-        :meth:`~repro.core.dynamic_irs.DynamicIRS.insert_bulk`, plus the
-        aligned weight plane.
+        The batch is sorted once (stably, so equal values keep their
+        weights in input order) and handed to
+        :meth:`ChunkDirectory.merge_batch
+        <repro.core.directory.ChunkDirectory.merge_batch>` — the exact
+        pass of :meth:`~repro.core.dynamic_irs.DynamicIRS.insert_bulk`
+        with the weight plane merged by the same scatter and each touched
+        chunk's mass raised by one segment sum.
         """
         if not isinstance(values, _np.ndarray):
             values = list(values)
@@ -424,34 +442,8 @@ class WeightedDynamicIRS:
             merged = _np.argsort(allv, kind="stable")
             self._build(allv[merged], allw[merged])
             return
-        chunks = directory.chunks
-        last = len(chunks) - 1
-        pos = _np.searchsorted(directory.maxes, batch, side="left")
-        if int(pos[-1]) > last:  # values beyond the global max join the tail
-            pos = _np.minimum(pos, last)
-        uniq, starts = _np.unique(pos, return_index=True)
-        ends = _np.append(starts[1:], m)
-        # Directory repair for counts, key extents and the weight plane is
-        # fully vectorized (one segment-sum per touched chunk's new mass).
-        directory.counts[uniq] += ends - starts
-        directory.maxes[uniq] = _np.maximum(directory.maxes[uniq], batch[ends - 1])
-        directory.mins[uniq] = _np.minimum(directory.mins[uniq], batch[starts])
-        directory.wtotals[uniq] += _np.add.reduceat(warr, starts)
-        kernel = _kernels()
-        cap = self._cap
-        oversized: list[int] = []
-        for p, g0, g1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-            chunk = chunks[p]
-            chunk.data, chunk.weights = kernel.merge_pair_runs(
-                chunk.data, chunk.weights, batch[g0:g1], warr[g0:g1]
-            )
-            chunk.touch()
-            if chunk.data.size > cap:
-                oversized.append(p)
+        directory.merge_batch(batch, self._cap, warr)
         self._n += m
-        directory.invalidate_prefix()
-        if oversized:
-            directory.bulk_split(oversized, cap)
 
     def delete_bulk(self, values: Iterable[float]) -> list[float]:
         """Delete one occurrence per batch value; returns their weights.
@@ -460,126 +452,29 @@ class WeightedDynamicIRS:
         distinct weights the pairing between requested duplicates and
         removed occurrences is arbitrary, as with a scalar delete loop).
         Atomic: if any value is absent the structure is left untouched and
-        :class:`~repro.errors.KeyNotFoundError` is raised.  Identical
-        machinery to :meth:`~repro.core.dynamic_irs.DynamicIRS.delete_bulk`
-        — one sort, one vectorized routing pass, a verify-then-apply plan —
-        plus the aligned weight plane: hits record their weights for the
-        return value and the directory's mass column is repaired with one
-        vectorized subtraction.
+        :class:`~repro.errors.KeyNotFoundError` is raised.  The same
+        gather–filter–recut pass as
+        :meth:`~repro.core.dynamic_irs.DynamicIRS.delete_bulk`
+        (:meth:`ChunkDirectory.remove_batch
+        <repro.core.directory.ChunkDirectory.remove_batch>`), with the
+        weight plane riding along: the removed weights come back from the
+        gathered plane and each chunk's removed mass is summed left to
+        right before one vectorized subtraction from the mass column.
         """
-        values = [self._coerce(v) for v in values]
+        if not isinstance(values, _np.ndarray):
+            values = list(values)
         m = len(values)
-        if m == 0:
-            return []
-        directory = self._dir
-        chunks = directory.chunks
-        n_chunks = len(chunks)
-        kernel = _kernels()
-        order = sorted(range(m), key=values.__getitem__)
-        bulk_list = [values[k] for k in order]
-        if n_chunks == 0:
-            raise KeyNotFoundError(f"value not present: {bulk_list[-1]!r}")
-        if m <= _BULK_CUTOFF:
-            # Small batch: skip the vectorized prelude but keep the shared
-            # verify/apply path (and with it the atomicity guarantee).
-            groups: list[tuple[int, int, int]] = []
-            for g, value in enumerate(bulk_list):
-                p = directory.first_max_ge(value)
-                if p >= n_chunks:
-                    raise KeyNotFoundError(f"value not present: {value!r}")
-                if groups and groups[-1][0] == p:
-                    groups[-1] = (p, groups[-1][1], g + 1)
-                else:
-                    groups.append((p, g, g + 1))
-        else:
-            batch = _np.asarray(bulk_list, dtype=self._dtype)
-            pos = _np.searchsorted(directory.maxes, batch, side="left")
-            if int(pos[-1]) >= n_chunks:
-                missing = float(batch[pos >= n_chunks][0])
-                raise KeyNotFoundError(f"value not present: {missing!r}")
-            uniq, starts = _np.unique(pos, return_index=True)
-            ends = _np.append(starts[1:], m)
-            groups = list(zip(uniq.tolist(), starts.tolist(), ends.tolist()))
-        # Verify phase: resolve every target to its (chunk, offset) without
-        # mutating anything, so a missing value aborts atomically.  ``out``
-        # is filled as hits resolve (sorted position ``g`` maps back to the
-        # caller's order through ``order[g]``).
-        out: list[float] = [0.0] * m
-        plan: dict[int, list[int]] = {}
-        mins = directory.mins
-        for p, g0, g1 in groups:
-            j = p
-            chunk = chunks[p]
-            data = chunk.data
-            weights = chunk.weights
-            size = data.size
-            hits = plan.get(p)
-            if hits is None:
-                hits = plan[p] = []
-                at = 0  # search floor inside chunk j
-            else:
-                at = hits[-1] + 1
-            for g in range(g0, g1):
-                value = bulk_list[g]
-                while True:
-                    i = int(kernel.search_left_scalar(data, value))
-                    if i < at:
-                        i = at
-                    if i < size and data[i] == value:
-                        hits.append(i)
-                        out[order[g]] = float(weights[i])
-                        at = i + 1
-                        break
-                    # Spill into the next chunk: possible only when the
-                    # value ties this chunk's max and duplicates continue.
-                    j += 1
-                    if j >= n_chunks or mins[j] > value:
-                        raise KeyNotFoundError(f"value not present: {value!r}")
-                    chunk = chunks[j]
-                    data = chunk.data
-                    weights = chunk.weights
-                    size = data.size
-                    hits = plan.get(j)
-                    if hits is None:
-                        hits = plan[j] = []
-                        at = 0
-                    else:
-                        at = hits[-1] + 1
-        # Apply phase: splice out the recorded offsets from both planes
-        # with one kernel take-out per plane.  The removed mass per chunk
-        # is summed *sequentially* (accounting stays in the driver, so it
-        # is backend-invariant by construction).
-        violation = False
-        s = self._s
-        removed_mass: list[float] = []
-        for p, hits in plan.items():
-            chunk = chunks[p]
-            weights = chunk.weights
-            removed = 0.0
-            for i in hits:
-                removed += float(weights[i])
-            hidx = _np.asarray(hits, dtype=_np.int64)
-            chunk.data = kernel.take_out(chunk.data, hidx)
-            chunk.weights = kernel.take_out(weights, hidx)
-            chunk.touch()
-            removed_mass.append(removed)
-            if chunk.data.size < s:
-                violation = True
+        if m <= 1:
+            # One value: the scalar path is just as atomic, and cheaper.
+            return [self.delete(value) for value in values]
+        batch = _np.asarray(values, dtype=self._dtype)
+        order = _np.argsort(batch, kind="stable")
+        removed = self._dir.remove_batch(batch[order], self._s, self._cap)
+        out = _np.empty(m, dtype=float)
+        out[order] = removed
         self._n -= m
-        directory.invalidate_prefix()
-        if violation:
-            directory.normalize(s, self._cap)
-        else:
-            # All touched chunks stayed within bounds: repair their
-            # directory rows with four vectorized assignments.
-            changed = list(plan)
-            idx = _np.asarray(changed, dtype=_np.int64)
-            directory.counts[idx] = [chunks[p].data.size for p in changed]
-            directory.maxes[idx] = [chunks[p].data[-1] for p in changed]
-            directory.mins[idx] = [chunks[p].data[0] for p in changed]
-            directory.wtotals[idx] -= _np.asarray(removed_mass, dtype=float)
         self._maybe_rebuild()
-        return out
+        return out.tolist()
 
     # -- queries ---------------------------------------------------------------------
 
@@ -862,10 +757,10 @@ class WeightedDynamicIRS:
         fused cumulative-search kernel call against the global table,
         clamped into the middle window.  Otherwise: pass 1 routes all
         draws to chunks with one ``searchsorted`` over the directory
-        weight prefix; pass 2 groups the draws per distinct chunk (one
-        stable argsort) and bisects each chunk's own cumulative table —
-        ``O(t log n)`` total with both passes in C, never a per-sample
-        descent.
+        weight prefix; pass 2 gathers the hit chunks' cumulative tables
+        into one array and bisects every draw inside its own chunk's span
+        at once (:func:`_search_right_rows`) — ``O(t log n)`` total, all
+        vectorized, with no per-chunk loop and no per-sample descent.
         """
         directory = self._dir
         kernel = _kernels()
@@ -874,25 +769,17 @@ class WeightedDynamicIRS:
             o1 = int(offsets[a + 1])
             o2 = int(offsets[b])
             return kernel.flat_pick(vals, gcum, base[a + 1] + residuals, o1, o2 - 1)
-        chunks = directory.chunks
         wprefix = directory.folded_wprefix()
         targets = float(wprefix[a]) + residuals
         ci = kernel.search_right(wprefix, targets)
         ci = _np.clip(ci, a + 1, b - 1)
         inner = targets - wprefix[ci - 1]
-        out = _np.empty(count, dtype=float)
-        order = _np.argsort(ci, kind="stable")
-        grouped_ci = ci[order]
-        grouped_inner = inner[order]
-        uniq, group_starts = _np.unique(grouped_ci, return_index=True)
-        group_ends = _np.append(group_starts[1:], count)
-        for chunk_i, g0, g1 in zip(uniq, group_starts, group_ends):
-            chunk = chunks[chunk_i]
-            vals, cum = chunk.np_arrays()
-            out[order[g0:g1]] = kernel.flat_pick(
-                vals, cum, grouped_inner[g0:g1], 0, vals.size - 1
-            )
-        return out
+        rows, inverse = distinct(ci)
+        offsets, vals, cum = directory.gather(rows, "data", "cumulative")
+        row_lo = offsets[inverse]
+        row_hi = offsets[inverse + 1]
+        idx = _search_right_rows(cum, row_lo, row_hi, inner)
+        return vals[_np.minimum(idx, row_hi - 1)].astype(_np.float64, copy=False)
 
     def _ensure_flat(self):
         """Return the flattened ``(values, global cum, offsets, bases)``.

@@ -1,9 +1,11 @@
 """Chi-square goodness-of-fit and independence tests.
 
 The statistic is computed by hand (it is the definition, and the tests
-cross-check it against SciPy); only the tail probability comes from
-``scipy.stats.chi2``, because implementing the regularized incomplete gamma
-adds nothing to the reproduction.
+cross-check it against SciPy); only the tail probability comes from SciPy,
+because implementing the regularized incomplete gamma adds nothing to the
+reproduction.  It is ``scipy.special.chdtrc`` — the function behind
+``scipy.stats.chi2.sf``, bit for bit — so importing the package does not
+pull in ``scipy.stats`` (about 45 MB of resident memory).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Sequence
 
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtrc as _chdtrc
 
 __all__ = ["chi_square_gof", "chi_square_independence", "uniformity_test"]
 
@@ -44,7 +46,7 @@ def chi_square_gof(
         dof += 1
     if dof <= 0:
         return 0.0, 1.0
-    return stat, float(_chi2.sf(stat, dof))
+    return stat, float(_chdtrc(dof, stat))
 
 
 def uniformity_test(
@@ -88,4 +90,4 @@ def chi_square_independence(table: Sequence[Sequence[float]]) -> tuple[float, fl
             exp = row_sums[i] * col_sums[j] / total
             stat += (rows[i][j] - exp) ** 2 / exp
     dof = (r - 1) * (c - 1)
-    return stat, float(_chi2.sf(stat, dof))
+    return stat, float(_chdtrc(dof, stat))

@@ -21,7 +21,7 @@ import pytest
 from repro import DynamicIRS, ShardedIRS, StaticIRS, WeightedDynamicIRS
 from repro.core import backend_info, kernels
 from repro.core.planes import as_plane, resolve_dtype
-from repro.errors import KernelBackendError, ZeroCopyError
+from repro.errors import KernelBackendError, KeyNotFoundError, ZeroCopyError
 
 BACKENDS = kernels.available_backends()
 
@@ -145,33 +145,6 @@ class TestKernelOps:
             bisect.bisect_right(arr.tolist(), t) for t in targets
         ]
 
-    def test_merge_runs_is_stable_chunk_first(self, backend):
-        # On ties the chunk's occurrences must precede the batch's: tag
-        # equal keys by provenance through a parallel argsort oracle.
-        chunk = np.asarray([1.0, 3.0, 3.0, 7.0])
-        batch = np.asarray([0.0, 3.0, 3.0, 9.0])
-        merged = backend.merge_runs(chunk, batch)
-        assert merged.tolist() == sorted(chunk.tolist() + batch.tolist())
-        # Positional oracle: chunk-first means searchsorted-right placement.
-        ins = np.searchsorted(chunk, batch, side="right")
-        expect = np.insert(chunk, ins, batch)
-        assert merged.tolist() == expect.tolist()
-
-    def test_merge_pair_runs_carries_weights(self, backend):
-        cdata = np.asarray([1.0, 4.0, 4.0])
-        cweights = np.asarray([10.0, 11.0, 12.0])
-        bdata = np.asarray([0.0, 4.0, 8.0])
-        bweights = np.asarray([20.0, 21.0, 22.0])
-        mdata, mweights = backend.merge_pair_runs(cdata, cweights, bdata, bweights)
-        assert mdata.tolist() == [0.0, 1.0, 4.0, 4.0, 4.0, 8.0]
-        # chunk-first on the tie at 4.0: chunk weights 11, 12 precede 21.
-        assert mweights.tolist() == [20.0, 10.0, 11.0, 12.0, 21.0, 22.0]
-
-    def test_take_out(self, backend):
-        arr = np.asarray([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        hits = np.asarray([1, 4], dtype=np.int64)
-        assert backend.take_out(arr, hits).tolist() == [0.0, 2.0, 3.0, 5.0]
-
     def test_cum_table(self, backend):
         weights = np.asarray([0.5, 1.5, 2.0, 0.25])
         got = np.asarray(backend.cum_table(weights))
@@ -216,6 +189,117 @@ class TestKernelOps:
         assert got.tolist() == expect
 
 
+# -- whole-batch chunk passes (directory gather / merge / remove / recut) --------
+
+
+def _chunked(values, weights=None, dtype=None):
+    """A structure whose chunks can be inspected (f64 unless ``dtype``)."""
+    if weights is None:
+        return DynamicIRS(values, seed=0, dtype=dtype)
+    return WeightedDynamicIRS(values, weights, seed=0, dtype=dtype)
+
+
+class TestChunkPasses:
+    """The bulk-update and bulk-read passes of ``ChunkDirectory``.
+
+    These replaced the per-chunk ``merge_runs``/``merge_pair_runs``/
+    ``take_out`` kernels and, unlike kernels, have one backend-free NumPy body.
+    """
+
+    def test_gather_concatenates_rows_with_offsets(self):
+        values = np.arange(200, dtype=float)
+        s = _chunked(values, np.linspace(1.0, 2.0, 200))
+        d = s._dir
+        rows = np.asarray([0, 2, 3], dtype=np.intp)
+        offsets, vals, weights, cum = d.gather(rows, "data", "weights", "cumulative")
+        chunks = [d.chunks[r] for r in rows]
+        assert offsets.tolist() == np.cumsum([0] + [c.data.size for c in chunks]).tolist()
+        assert vals.tolist() == np.concatenate([c.data for c in chunks]).tolist()
+        assert weights.tolist() == np.concatenate([c.weights for c in chunks]).tolist()
+        for k, c in enumerate(chunks):
+            assert cum[offsets[k] : offsets[k + 1]].tolist() == c.cum_table().tolist()
+        (default_offsets, default_vals) = d.gather(rows)
+        assert default_vals.tolist() == vals.tolist()
+        assert default_offsets.tolist() == offsets.tolist()
+
+    def test_recut_installs_fresh_planes_and_repairs_rows(self):
+        s = _chunked(np.arange(200, dtype=float), np.ones(200))
+        d = s._dir
+        rows = np.asarray([1, 4], dtype=np.intp)
+        offsets, vals, weights = d.gather(rows, "data", "weights")
+        before = d.wtotals.copy()
+        # Drop each row's first point, as a bulk delete would.
+        keep = np.ones(vals.size, dtype=bool)
+        keep[offsets[:-1]] = False
+        new_offsets = offsets - np.arange(offsets.size)
+        d.recut(rows, new_offsets, vals[keep], weights[keep], np.asarray([-1.0, -1.0]))
+        for k, r in enumerate(rows):
+            chunk = d.chunks[r]
+            expect = vals[offsets[k] + 1 : offsets[k + 1]]
+            assert chunk.data.tolist() == expect.tolist()
+            assert chunk.data.base is None and chunk.weights.base is None  # own planes
+            assert d.counts[r] == expect.size
+            assert d.mins[r] == expect[0] and d.maxes[r] == expect[-1]
+            assert d.wtotals[r] == before[r] - 1.0
+        s._n -= 2
+        s.check_invariants()
+
+    def test_merge_batch_is_stable_chunk_first(self):
+        # On ties the chunk's occurrences must precede the batch's:
+        # provenance rides on the weights.
+        values = np.repeat(np.arange(10, dtype=float), 6)
+        s = _chunked(values, np.ones(values.size))
+        batch = np.asarray([-1.0] + [4.0] * 20 + [5.0, 99.0])
+        weights = np.arange(2.0, 2.0 + batch.size)
+        s.insert_bulk(batch, weights)
+        s.check_invariants()
+        got = s.items()
+        assert [v for v, _w in got] == sorted(values.tolist() + batch.tolist())
+        fours = [w for v, w in got if v == 4.0]
+        assert fours == [1.0] * 6 + weights[1:21].tolist()
+        assert got[0] == (-1.0, 2.0) and got[-1] == (99.0, weights[-1])
+
+    def test_merge_batch_clamps_ties_into_the_routed_chunk(self):
+        # A run of equal values straddles chunk boundaries; inserted copies
+        # all go to the first chunk whose max reaches them, after its own
+        # copies — the chunks behind it keep their planes untouched.
+        values = np.asarray([1.0] * 8 + [2.0] * 40 + [3.0] * 8)
+        s = _chunked(values)
+        d = s._dir
+        first = int(np.searchsorted(d.maxes, 2.0))
+        assert d.mins[first + 1] == 2.0  # the run does straddle
+        planes = [c.data for c in d.chunks]
+        s.insert_bulk(np.full(17, 2.0))
+        s.check_invariants()
+        assert s.values() == sorted(values.tolist() + [2.0] * 17)
+        unchanged = [p for p in planes if any(c.data is p for c in d.chunks)]
+        assert len(unchanged) == len(planes) - 1
+
+    def test_remove_batch_takes_leftmost_copies_and_returns_weights(self):
+        values = np.asarray([0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0] * 4)
+        s = _chunked(np.sort(values), np.arange(1.0, 33.0))
+        pairs = s.items()
+        removed = s.delete_bulk([1.0, 5.0, 1.0])
+        ones = [w for v, w in pairs if v == 1.0]
+        fives = [w for v, w in pairs if v == 5.0]
+        assert removed == [ones[0], fives[0], ones[1]]
+        s.check_invariants()
+        assert len(s) == 29
+
+    def test_remove_batch_refuses_before_mutating(self):
+        s = _chunked(np.arange(100, dtype=float))
+        d = s._dir
+        planes = [c.data for c in d.chunks]
+        stamp = d.mutations
+        with pytest.raises(KeyNotFoundError):
+            s.delete_bulk([3.0, 50.5, 7.0])
+        with pytest.raises(KeyNotFoundError):
+            s.delete_bulk([3.0, 3.0])  # only one copy stored
+        assert d.mutations == stamp
+        assert all(c.data is p for c, p in zip(d.chunks, planes))
+        assert len(s) == 100
+
+
 # -- cross-backend parity: ops, stateful machines, seed audit --------------------
 
 
@@ -224,12 +308,10 @@ def _op_fingerprints(backend):
     arr = np.sort(_rng(11).uniform(0, 100, 64))
     batch = np.sort(_rng(12).uniform(0, 100, 16))
     weights = _rng(13).uniform(0.1, 2.0, arr.size)
-    hits = np.asarray(sorted(_rng(14).choice(arr.size, 8, replace=False)), dtype=np.int64)
     counts = np.asarray(_rng(15).integers(1, 9, 12), dtype=np.int64)
     codes = np.asarray(_rng(16).integers(0, 12 * 9, 80), dtype=np.int64)
     gcum = np.concatenate(([0.0], np.cumsum(weights)))
     targets = _rng(17).uniform(0, gcum[-1], 24)
-    mp = backend.merge_pair_runs(arr[:16], weights[:16], batch, weights[16:32])
     rj = backend.rejection_split(codes, counts, 0, 9, 10)
     return [
         backend.splice_insert(arr, 10, 50.5).tolist(),
@@ -237,9 +319,6 @@ def _op_fingerprints(backend):
         backend.search_left_scalar(arr, float(arr[20])),
         backend.search_right_scalar(arr, float(arr[20])),
         np.asarray(backend.search_right(arr, batch)).tolist(),
-        backend.merge_runs(arr, batch).tolist(),
-        [mp[0].tolist(), mp[1].tolist()],
-        backend.take_out(arr, hits).tolist(),
         np.asarray(backend.cum_table(weights)).tolist(),
         [np.asarray(x).tolist() for x in rj[:2]] + [rj[2]],
         np.asarray(backend.flat_pick(arr, gcum, targets, 2, arr.size - 3)).tolist(),
