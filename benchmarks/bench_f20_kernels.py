@@ -15,8 +15,8 @@ fallback tier honestly, like F14's single-CPU rows), n = 10⁴ and 10⁶,
 and float32 vs float64 planes at the large size.  `µs/op` is the
 inverse-throughput view used by the DESIGN.md §5 scalar-cost table.
 
-`before rate/s` holds the bulk-update and wide-sampling rates of an
-earlier commit measured on the same host: run this file there with
+`before rate/s` holds the bulk-update, wide-sampling and weighted
+wide-sampling rates of an earlier commit measured on the same host: run this file there with
 ``--bench-json DIR``, then here with ``--bench-before DIR``.  Without
 that option the column is empty.
 """
@@ -57,7 +57,7 @@ def datasets():
 
 
 #: Ops whose rows carry the earlier commit's rate (``--bench-before``).
-COMPARED = ("bulk-insert+delete", "sample-wide")
+COMPARED = ("bulk-insert+delete", "sample-wide", "weighted-sample-wide")
 
 
 @pytest.fixture(scope="module")

@@ -16,8 +16,10 @@ Tiny-n, seconds-long sanity gate (not a benchmark): asserts that
   scatter round must amortize, never regress to the loop),
 * one n = 10^6 bulk round (1k ``insert_bulk`` + ``delete_bulk``, one
   wide ``sample_bulk`` at t = 4096), normalized by an in-process
-  calibration loop, stays above a recorded floor — the one gate that
-  compares against an earlier commit instead of another path,
+  calibration loop, stays above a recorded floor, and so does one
+  weighted read round (a t = 65,536 facade read plus one direct
+  ``WeightedDynamicIRS.sample_bulk`` at n = 10^6) — the two gates that
+  compare against an earlier commit instead of another path,
 * the mixed-stream runner executes a coalesced read/write stream,
 * the sharded engine agrees with a flat structure and (on multi-core
   hosts) the ``processes`` backend beats ``serial`` on wide-range bulk
@@ -56,6 +58,11 @@ MARGIN = 1.3
 #: backend) and 0.55 on the commit before the whole-batch chunk passes;
 #: the floor allows 2x slack under the measured value.
 BULK_ROUND_FLOOR = 0.9
+#: Weighted read rounds per calibration loop (the second cross-commit
+#: floor in ``main``).  Measured 0.71-0.76 when the floor was set (2-CPU
+#: Xeon host, NumPy backend) and 0.27-0.33 on the commit before the
+#: ordered-key searches; the floor allows 2x slack under the measured value.
+WEIGHTED_READ_FLOOR = 0.36
 
 failures: list[str] = []
 
@@ -426,6 +433,37 @@ def main() -> int:
         rate >= BULK_ROUND_FLOOR,
         f"{rate:.2f} bulk rounds per calibration loop",
     )
+    del big
+
+    # Same protocol for the weighted read paths: one t = 65,536 read through
+    # a 4-shard weighted facade (the shard task kernel) plus one direct
+    # WeightedDynamicIRS.sample_bulk (its flat cumulative table), n = 10^6.
+    wvalues = np.asarray(uniform_points(big_n, seed=65))
+    wweights = np.random.default_rng(66).pareto(1.5, big_n) + 1.0
+    wfacade = ShardedIRS(
+        wvalues, num_shards=4, weights=wweights, seed=67,
+        shard_kind="weighted-dynamic",
+    )
+    wshard = wfacade.shards[1]
+    shard_lo, shard_hi = wfacade.bounds[0], wfacade.bounds[1]
+
+    def weighted_round() -> None:
+        wfacade.sample_bulk(0.05, 0.95, 65_536)
+        wshard.sample_bulk(shard_lo, shard_hi, 65_536)
+
+    weighted_round()  # build the snapshots and the flat table
+    rate = max(
+        time_callable(calibration, repeat=3) / time_callable(weighted_round, repeat=3)
+        for _ in range(3)
+    )
+    check(
+        f"weighted read round >= {WEIGHTED_READ_FLOOR} per calibration unit "
+        "(recorded floor)",
+        rate >= WEIGHTED_READ_FLOOR,
+        f"{rate:.2f} weighted read rounds per calibration loop",
+    )
+    wfacade.close()
+    del wfacade, wshard, wvalues, wweights
 
     # -- kernel tier: compiled must never lose to vectorized -------------------
     # The numba backend exists purely for constants; if it cannot at least

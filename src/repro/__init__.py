@@ -63,6 +63,7 @@ from .errors import (
     EmptyRangeError,
     EmptyStructureError,
     InvalidQueryError,
+    InvalidValueError,
     InvalidWeightError,
     KeyNotFoundError,
     ReproError,
@@ -104,6 +105,7 @@ __all__ = [
     "EmptyRangeError",
     "EmptyStructureError",
     "InvalidQueryError",
+    "InvalidValueError",
     "InvalidWeightError",
     "KeyNotFoundError",
     "CapacityError",

@@ -66,7 +66,7 @@ from .base import DynamicRangeSampler, coerce_query_bounds, validate_query
 from .directory import Chunk as _Chunk
 from .directory import ChunkDirectory, distinct
 from .kernels import get as _kernels
-from .planes import as_plane, resolve_dtype
+from .planes import admit_values, as_plane, resolve_dtype
 
 __all__ = ["DynamicIRS"]
 
@@ -158,7 +158,7 @@ class DynamicIRS(DynamicRangeSampler):
         self._init_common(seed, chunk_scale, resolve_dtype(values, dtype))
         if not isinstance(values, _np.ndarray):
             values = _np.asarray(list(values), dtype=self._dtype)
-        self._build(_np.sort(values.astype(self._dtype, copy=False)))
+        self._build(_np.sort(admit_values(values.astype(self._dtype, copy=False))))
 
     @classmethod
     def from_sorted(
@@ -180,7 +180,7 @@ class DynamicIRS(DynamicRangeSampler):
         mutating it afterwards is undefined behavior).
         """
         self = cls.__new__(cls)
-        arr = as_plane(values, dtype=dtype, copy=copy)
+        arr = admit_values(as_plane(values, dtype=dtype, copy=copy))
         self._init_common(seed, chunk_scale, arr.dtype)
         self._build(arr)
         return self
@@ -297,7 +297,7 @@ class DynamicIRS(DynamicRangeSampler):
         compiled backend each is a single Python→native transition with
         the splice allocating exactly one fresh ``s``-element plane.
         """
-        value = self._coerce(value)
+        value = admit_values(self._coerce(value))
         directory = self._dir
         chunks = directory.chunks
         if not chunks:
@@ -369,11 +369,14 @@ class DynamicIRS(DynamicRangeSampler):
             values = list(values)
         if len(values) <= _BULK_CUTOFF:
             # Below the cutoff the vectorized prelude (array round trip,
-            # searchsorted, unique) costs more than the scalar loop.
+            # searchsorted, unique) costs more than the scalar loop.  The
+            # whole batch is admitted before the first insert.
+            for value in values:
+                admit_values(float(value))
             for value in values:
                 self.insert(float(value))
             return
-        batch = _np.sort(_np.asarray(values, dtype=self._dtype))
+        batch = _np.sort(admit_values(_np.asarray(values, dtype=self._dtype)))
         m = int(batch.size)
         if self._n == 0:
             self._build(batch)

@@ -96,6 +96,15 @@ def rejection_split(codes, counts, window_lo, cap, needed):
     ), consumed
 
 
+#: Below these sizes one direct ``searchsorted`` over the random keys is
+#: cheaper than sorting them first (the argsort is not paid back).  Measured
+#: crossovers on a 2-CPU Xeon, NumPy 2.4: ~512 keys on a 2k-entry table,
+#: ~300 on 250k entries; on tables under ~2k entries the search is
+#: cache-resident and the keys must number in the thousands to win.
+_ORDERED_MIN_KEYS = 512
+_ORDERED_MIN_TABLE = 2048
+
+
 def flat_pick(vals, gcum, targets, lo, hi):
     """Fused weighted draw against the flattened global cumulative table.
 
@@ -103,6 +112,19 @@ def flat_pick(vals, gcum, targets, lo, hi):
     clamp into ``[lo, hi]`` (the flat index window of the query's middle
     chunks), gather the value.  Returns float64 regardless of the value
     plane's dtype.
+
+    A large batch against a large table is resolved in key order: the
+    keys are argsorted, searched ascending (NumPy's binary search narrows
+    from the previous hit, so successive searches touch the same cache
+    lines instead of a fresh chain of misses each), gathered, and
+    scattered back to draw order.  Each key's result is a pure function
+    of the key, so both paths return the same bytes.
     """
-    idx = _np.searchsorted(gcum, targets, side="right")
-    return vals[_np.clip(idx, lo, hi)].astype(_np.float64, copy=False)
+    if targets.size < _ORDERED_MIN_KEYS or gcum.size < _ORDERED_MIN_TABLE:
+        idx = _np.searchsorted(gcum, targets, side="right")
+        return vals[_np.clip(idx, lo, hi)].astype(_np.float64, copy=False)
+    order = _np.argsort(targets)
+    idx = _np.searchsorted(gcum, targets[order], side="right")
+    out = _np.empty(targets.size, dtype=_np.float64)
+    out[order] = vals[_np.clip(idx, lo, hi)]
+    return out

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import numpy as _np
 
-from ..errors import ZeroCopyError
+from ..errors import InvalidValueError, ZeroCopyError
 
-__all__ = ["PLANE_DTYPES", "resolve_dtype", "as_plane"]
+__all__ = ["PLANE_DTYPES", "resolve_dtype", "as_plane", "admit_values"]
 
 #: The value-plane dtypes the storage tier supports.
 PLANE_DTYPES = (_np.dtype(_np.float32), _np.dtype(_np.float64))
@@ -48,6 +48,26 @@ def resolve_dtype(values, dtype) -> _np.dtype:
     if isinstance(values, _np.ndarray) and values.dtype in PLANE_DTYPES:
         return values.dtype
     return PLANE_DTYPES[1]
+
+
+def admit_values(values):
+    """Refuse point values no plane can store faithfully; return ``values``.
+
+    ``values`` is one Python float or an array of values.  NaN is refused
+    with :class:`~repro.errors.InvalidValueError`: it compares false
+    against everything, so a stored NaN silently breaks the sorted order
+    (and the chunk maxima) every search relies on.  Callers admit a whole
+    input before changing any state, so a refusal leaves the structure
+    untouched.
+    """
+    if isinstance(values, float):
+        bad = values != values
+    else:
+        # min propagates NaN: one reduction pass, no n-element temporary.
+        bad = values.size > 0 and bool(_np.isnan(_np.min(values)))
+    if bad:
+        raise InvalidValueError("point values must not be NaN")
+    return values
 
 
 def as_plane(values, *, dtype=None, copy: bool = True, sort_check: bool = True):

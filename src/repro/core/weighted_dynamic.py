@@ -73,7 +73,7 @@ from .base import coerce_query_bounds, validate_query
 from .directory import ChunkDirectory, distinct
 from .directory import WeightedChunk as _WChunk
 from .kernels import get as _kernels
-from .planes import as_plane, resolve_dtype
+from .planes import admit_values, as_plane, resolve_dtype
 
 __all__ = ["WeightedDynamicIRS"]
 
@@ -123,7 +123,7 @@ class WeightedDynamicIRS:
         self._init_common(seed, resolve_dtype(values, dtype))
         if not isinstance(values, _np.ndarray):
             values = _np.asarray(list(values), dtype=self._dtype)
-        vals = values.astype(self._dtype, copy=False)
+        vals = admit_values(values.astype(self._dtype, copy=False))
         if vals.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {vals.shape}")
         warr = self._coerced_weights(int(vals.size), weights)
@@ -151,7 +151,7 @@ class WeightedDynamicIRS:
         plane is always copied (it is float64 working storage).
         """
         self = cls.__new__(cls)
-        arr = as_plane(values, dtype=dtype, copy=copy)
+        arr = admit_values(as_plane(values, dtype=dtype, copy=copy))
         self._init_common(seed, arr.dtype)
         warr = self._coerced_weights(int(arr.size), weights)
         self._build(arr, warr)
@@ -306,7 +306,7 @@ class WeightedDynamicIRS:
     def insert(self, value: float, weight: float = 1.0) -> None:
         """Insert one weighted point in ``O(log n)`` amortized time."""
         self._check_weight(weight)
-        value = self._coerce(value)
+        value = admit_values(self._coerce(value))
         weight = float(weight)
         directory = self._dir
         chunks = directory.chunks
@@ -423,10 +423,12 @@ class WeightedDynamicIRS:
                 weights = [1.0] * m
             for w in weights:
                 self._check_weight(float(w))
+            for value in values:
+                admit_values(float(value))
             for value, weight in zip(values, weights):
                 self.insert(float(value), float(weight))
             return
-        batch = _np.asarray(values, dtype=self._dtype)
+        batch = admit_values(_np.asarray(values, dtype=self._dtype))
         warr = self._coerced_weights(m, weights)
         order = _np.argsort(batch, kind="stable")
         batch = batch[order]

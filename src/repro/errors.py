@@ -13,6 +13,7 @@ __all__ = [
     "EmptyStructureError",
     "InvalidQueryError",
     "InvalidWeightError",
+    "InvalidValueError",
     "KeyNotFoundError",
     "CapacityError",
     "ZeroCopyError",
@@ -53,6 +54,15 @@ class InvalidQueryError(ReproError):
 
 class InvalidWeightError(ReproError):
     """Raised for non-finite, negative, or all-zero weight assignments."""
+
+
+class InvalidValueError(ReproError, ValueError):
+    """Raised for a point value a structure cannot store faithfully (NaN).
+
+    A NaN compares false against everything, so once stored it breaks the
+    sorted order every search relies on.  Structures refuse it at their
+    boundary, before any state changes.
+    """
 
 
 class KeyNotFoundError(ReproError, KeyError):

@@ -32,12 +32,10 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from ..errors import ShardTimeoutError, WorkerDiedError
+import numpy as _np
 
-try:  # NumPy is required for the parallel backends (serial falls back).
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is installed in CI
-    _np = None
+from ..core.kernels.numpy_backend import flat_pick
+from ..errors import ShardTimeoutError, WorkerDiedError
 
 __all__ = [
     "SerialBackend",
@@ -57,23 +55,22 @@ def draw_from_snapshot(values, cumw, lo: float, hi: float, t: int, seed: int):
     ``None`` (uniform shard: one rank draw per sample) or the length
     ``n + 1`` inclusive weight prefix with ``cumw[0] == 0`` (weighted
     shard: one inverse-CDF bisect per sample, exact proportional to the
-    masses the prefix represents).  Every backend — and every worker
-    process — runs exactly this function, which is what makes results
-    backend-independent: the generator is rebuilt from the explicit seed.
+    masses the prefix represents, resolved by the NumPy ``flat_pick``
+    kernel — in key order for large batches).  Every backend — and every
+    worker process — runs exactly this function, which is what makes
+    results backend-independent: the generator is rebuilt from the
+    explicit seed.
     """
     rng = _np.random.default_rng(seed)
     a = int(_np.searchsorted(values, lo, side="left"))
     b = int(_np.searchsorted(values, hi, side="right"))
     if cumw is None:
-        ranks = rng.integers(a, b, size=t)
-    else:
-        base = cumw[a]
-        mass = cumw[b] - base
-        u = rng.random(t) * mass + base
-        # side="right" maps u in [cumw[i], cumw[i+1]) to rank i; the clip
-        # guards the one-ulp case where u rounds up to exactly cumw[b].
-        ranks = _np.clip(_np.searchsorted(cumw, u, side="right") - 1, a, b - 1)
-    return values[ranks]
+        return values[rng.integers(a, b, size=t)]
+    u = rng.random(t) * (cumw[b] - cumw[a]) + cumw[a]
+    # Every u >= cumw[0] == 0, so bisect_right over cumw[1:] maps u in
+    # [cumw[i], cumw[i+1]) to rank i; the clamp guards the one-ulp case
+    # where u rounds up to exactly cumw[b].
+    return flat_pick(values, cumw[1:], u, a, b - 1)
 
 
 def _run_with_deadline(pool, fn, tasks: Sequence, timeout: float) -> None:

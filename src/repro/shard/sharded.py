@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 from ..core.base import DynamicRangeSampler, validate_query
 from ..core.dynamic_irs import DynamicIRS
 from ..core.em_irs import ExternalIRS
-from ..core.planes import resolve_dtype
+from ..core.planes import admit_values, resolve_dtype
 from ..core.static_irs import StaticIRS
 from ..core.weighted_dynamic import WeightedDynamicIRS
 from ..core.weighted_irs import WeightedStaticIRS
@@ -202,6 +202,7 @@ class ShardedIRS(DynamicRangeSampler):
             values = values.astype(resolved, copy=False)
         else:
             values = _np.asarray(list(values), dtype=resolved)
+        admit_values(values)
         if weights is None:
             order = _np.argsort(values, kind="stable")
             sorted_weights = None
@@ -243,6 +244,7 @@ class ShardedIRS(DynamicRangeSampler):
             values if isinstance(values, _np.ndarray) else list(values),
             dtype=resolved,
         )
+        admit_values(values)
         if values.size > 1 and bool((values[1:] < values[:-1]).any()):
             raise ValueError("from_sorted requires nondecreasing input")
         if weights is not None:
@@ -716,19 +718,29 @@ class ShardedIRS(DynamicRangeSampler):
         if self._gen is None:
             self._gen = self._rng.spawn_numpy()
         gen = self._gen
-        snaps = [self._refresh(i) for i in range(len(self._shards))]
-        n_shards = len(snaps)
         n_queries = len(queries)
         if n_queries == 0:
             return []
         los = _np.asarray([q[0] for q in queries])
         his = _np.asarray([q[1] for q in queries])
+        # Only shards whose key interval meets some query window are
+        # refreshed: the partition puts every other shard's in-range count
+        # and mass at exactly 0, so its stale snapshot is never read and
+        # the plan — hence every draw — is the same as with all refreshed.
+        n_shards = len(self._shards)
+        first = _np.searchsorted(self._bounds_arr, los, side="right")
+        last = _np.searchsorted(self._bounds_arr, his, side="right")
+        shard_ids = _np.arange(n_shards)[:, None]
+        in_window = ((shard_ids >= first) & (shard_ids <= last)).any(axis=1)
+        snaps = [
+            self._refresh(i) if in_window[i] else None for i in range(n_shards)
+        ]
         counts = _np.zeros((n_shards, n_queries), dtype=_np.int64)
         masses = _np.zeros((n_shards, n_queries), dtype=float) if self._weighted else None
         for s, snap in enumerate(snaps):
-            v = snap.values
-            if not len(v):
+            if snap is None or not len(snap.values):
                 continue
+            v = snap.values
             a = _np.searchsorted(v, los, side="left")
             b = _np.searchsorted(v, his, side="right")
             counts[s] = b - a
@@ -1025,21 +1037,21 @@ class ShardedIRS(DynamicRangeSampler):
 
     def _insert_plain(self, value: float) -> None:
         self._require_updatable()
-        value = self._coerce(value)
+        value = admit_values(self._coerce(value))
         i = self._route_one(value)
         self._shards[i].insert(value)
         self._after_update(i, 1)
 
     def _insert_weighted(self, value: float, weight: float = 1.0) -> None:
         self._require_updatable()
-        value = self._coerce(value)
+        value = admit_values(self._coerce(value))
         i = self._route_one(value)
         self._shards[i].insert(value, weight)
         self._after_update(i, 1)
 
     def _insert_bulk_plain(self, values) -> None:
         self._require_updatable()
-        batch = _np.sort(_np.asarray(list(values), dtype=self._dtype))
+        batch = _np.sort(admit_values(_np.asarray(list(values), dtype=self._dtype)))
         if not batch.size:
             return
         for i, g0, g1 in self._route_groups(batch):
@@ -1056,7 +1068,7 @@ class ShardedIRS(DynamicRangeSampler):
 
     def _insert_bulk_weighted(self, values, weights=None) -> None:
         self._require_updatable()
-        batch = _np.asarray(list(values), dtype=self._dtype)
+        batch = admit_values(_np.asarray(list(values), dtype=self._dtype))
         if weights is None:
             wbatch = _np.ones(batch.size, dtype=float)
         else:

@@ -359,12 +359,15 @@ class WriteAheadLog:
         for name, nxt in zip(names, names[1:] + [None]):
             if nxt is None:
                 # The active segment: only removable when fully covered
-                # and not open for append.
+                # and not open for append.  An open one is never removed,
+                # so it is not parsed either.
+                if self._fh is not None:
+                    continue
                 last = 0
                 for record, _off, ok in self._iter_segment(name):
                     if ok:
                         last = record.seq
-                if last <= seq and self._fh is None:
+                if last <= seq:
                     os.unlink(os.path.join(self.directory, name))
                     removed += 1
                 continue

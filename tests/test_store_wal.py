@@ -280,6 +280,34 @@ def test_durable_store_snapshot_truncates_and_resets(tmp_path):
         assert store.ops_since_snapshot == 1
 
 
+def test_checkpoint_does_not_parse_the_open_segment(tmp_path, monkeypatch):
+    """The open active segment is never removed, so a checkpoint with the
+    WAL open must not read it at all (its cost would grow with everything
+    logged since it was opened)."""
+    d = DynamicIRS([1.0], seed=1)
+    with DurableStore(tmp_path / "d") as store:
+        for i in range(50):
+            store.log_batch([("insert", 2.0 + i)])
+            d.insert(2.0 + i)
+        calls = []
+        original = WriteAheadLog._iter_segment
+
+        def counting(self, name):
+            calls.append(name)
+            return original(self, name)
+
+        monkeypatch.setattr(WriteAheadLog, "_iter_segment", counting)
+        store.snapshot({"default": d})
+        assert calls == []
+        monkeypatch.undo()
+    with DurableStore(tmp_path / "d") as store:
+        report = store.recover({"default": DynamicIRS([1.0], seed=1)})
+        assert report.replayed_records == 0
+        assert report.structures["default"].export_sorted().tolist() == (
+            d.export_sorted().tolist()
+        )
+
+
 def test_durable_store_size_trigger(tmp_path):
     with DurableStore(tmp_path / "d", snapshot_ops=3) as store:
         d = DynamicIRS([], seed=1)
